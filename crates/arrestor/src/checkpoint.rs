@@ -89,7 +89,7 @@
 //! accepted), or — when [`SettleDetector::with_analytic`] is enabled
 //! and no readout capture is active — the absorbing-band bound of
 //! [`crate::settle`]: if the valve commands have been constant since
-//! before the older capture ([`System::tick_nodes`] tracks the last
+//! before the older capture ([`System::tick`] tracks the last
 //! change instant) and, per valve, the padded hull of both pressures
 //! and the effective command lies inside a single 0.01 bar sensor
 //! cell, then the pressure trajectory was inside that cell for the
@@ -423,11 +423,10 @@ impl SettleDetector {
 
     /// The next simulation instant at which [`SettleDetector::check`]
     /// does any work. Every call before this instant takes the
-    /// side-effect-free fast path and returns `false`, so a batch
-    /// driver that skips those calls entirely (`arrestor::batch`)
-    /// observes and mutates exactly the same state as one that makes
-    /// them — the gate is what makes lazy environment sync in the
-    /// lockstep executor sound.
+    /// side-effect-free fast path and returns `false`, so a caller
+    /// that skips those calls entirely observes and mutates exactly
+    /// the same state as one that makes them (a profiler can time the
+    /// real checks without timing the gate).
     pub const fn next_check_ms(&self) -> u64 {
         self.next_check_ms
     }

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod checkpoint;
 pub mod consts;
 pub mod control;
@@ -58,7 +57,6 @@ pub mod stackmodel;
 pub mod system;
 pub mod trace;
 
-pub use batch::{run_lockstep, BatchConfig, RetiredLane};
 pub use checkpoint::{SettleDetector, SettleProof, Snapshot};
 pub use detectors::{Detectors, EaId, EaSet};
 pub use instrument::{build_detectors, placement_plan};

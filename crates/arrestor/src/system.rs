@@ -157,7 +157,7 @@ impl System {
     }
 
     /// The instant (ms) since which the valve-command pair has been
-    /// constant: [`System::tick_nodes`] stamps the current time whenever
+    /// constant: [`System::tick`] stamps the current time whenever
     /// a tick produces a different `(master_pu, slave_pu)` pair than the
     /// previous one. The analytic settle proof
     /// ([`crate::settle`]) needs command constancy over a whole
@@ -169,22 +169,6 @@ impl System {
     /// Injects one SWIFI bit flip into the master's memory.
     pub fn inject(&mut self, flip: BitFlip) {
         self.master.inject(flip);
-    }
-
-    /// Replaces this system's environment half — plant state and
-    /// failure accumulators — with a copy of `other`'s.
-    ///
-    /// Sound only when this system's valve-command history is
-    /// bit-identical to `other`'s since the two forked from a common
-    /// snapshot: the plant integrates purely from (state, commands)
-    /// and the failure monitor folds purely over plant states, so
-    /// identical command histories imply identical environments. The
-    /// lockstep batch executor (`arrestor::batch`) uses this to
-    /// materialise a lane's implied environment from the shared
-    /// reference lane instead of integrating one plant per lane.
-    pub fn adopt_environment(&mut self, other: &System) {
-        self.plant = other.plant.clone();
-        self.failmon = other.failmon.clone();
     }
 
     /// Reconstructs the periodic readout samples a settled run would
@@ -204,31 +188,11 @@ impl System {
 
     /// Advances the whole system by one millisecond.
     pub fn tick(&mut self) {
+        self.time_ms += 1;
+
         // Sensors sample the plant at the start of the tick; one frame
         // feeds both nodes and the trace recorder.
-        let sensors = self.sensors();
-        self.tick_nodes(&sensors);
-        self.tick_plant(&sensors);
-    }
-
-    /// This instant's sensor readings — the frame [`System::tick`]
-    /// feeds to both nodes. Pure: sampling does not advance anything.
-    pub fn sensors(&self) -> simenv::SensorReadout {
-        self.plant.sensor_readout()
-    }
-
-    /// The node half of [`System::tick`]: advances the clock and runs
-    /// the master and slave control cycles against `sensors`, leaving
-    /// the environment untouched. Returns the resulting valve commands
-    /// `(master_pu, slave_pu)`.
-    ///
-    /// `tick_nodes` followed by [`System::tick_plant`] with the same
-    /// frame is exactly [`System::tick`]; the split exists so the
-    /// lockstep batch executor (`arrestor::batch`) can share one
-    /// reference environment across lanes whose command histories have
-    /// not diverged.
-    pub fn tick_nodes(&mut self, sensors: &simenv::SensorReadout) -> (u16, u16) {
-        self.time_ms += 1;
+        let sensors = self.plant.sensor_readout();
         let previous = (self.master_valve_pu, self.slave_valve_pu);
         self.master_valve_pu = self.master.tick(
             SensorFrame {
@@ -242,16 +206,7 @@ impl System {
         if (self.master_valve_pu, self.slave_valve_pu) != previous {
             self.cmds_stable_since_ms = self.time_ms;
         }
-        (self.master_valve_pu, self.slave_valve_pu)
-    }
 
-    /// The environment half of [`System::tick`]: integrates the plant
-    /// under the valve commands set by [`System::tick_nodes`], folds
-    /// the new state into the failure monitor and the readout, and
-    /// (when tracing) records the tick. `sensors` must be the frame
-    /// passed to the matching `tick_nodes` call; it only feeds the
-    /// trace record.
-    pub fn tick_plant(&mut self, sensors: &simenv::SensorReadout) {
         let state = self.plant.step(
             f64::from(self.master_valve_pu) / simenv::spec::PRESSURE_UNITS_PER_BAR,
             f64::from(self.slave_valve_pu) / simenv::spec::PRESSURE_UNITS_PER_BAR,

@@ -1,5 +1,5 @@
-//! Campaign-throughput benchmark: batched lockstep execution against
-//! the scalar checkpointed path and the straight-line replay baseline.
+//! Campaign-throughput benchmark: the checkpointed trial path against
+//! its exact-settle variant and the straight-line replay baseline.
 //!
 //! Three invocations:
 //!
@@ -8,7 +8,7 @@
 //! * `cargo bench -p bench --bench bench_campaign -- --json [path]` —
 //!   one timed full-E1-grid campaign (112 errors × 25 cases, 40 s
 //!   windows) per ⟨mode, worker count⟩ across all three execution
-//!   modes (`replay`, `scalar`, `batched`), written as
+//!   modes (`replay`, `exact`, `scalar`), written as
 //!   machine-readable JSON to `path` (default: `BENCH_campaign.json`
 //!   at the repo root). This regenerates the committed perf-trajectory
 //!   artefact quoted in `PERFORMANCE.md`;
@@ -36,42 +36,36 @@ fn worker_counts() -> Vec<usize> {
     counts
 }
 
-/// The execution modes the sweep compares. `Scalar` is the
-/// checkpointed per-trial loop (the `--scalar` CLI path); `Batched` is
-/// the lockstep SoA executor (the default CLI path); `Exact` is
-/// `Batched` with the analytic absorbing-band settle proof disabled
+/// The execution modes the sweep compares. `Replay` runs every trial
+/// from t = 0 (the `--no-checkpoint` oracle); `Scalar` is the
+/// checkpointed per-trial loop (the default CLI path); `Exact` is
+/// `Scalar` with the analytic absorbing-band settle proof disabled
 /// (the `--no-analytic-settle` escape hatch, and the default before
-/// the analytic bound landed) — its gap to `Batched` is the settle
+/// the analytic bound landed) — its gap to `Scalar` is the settle
 /// tail the bound closes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Replay,
     Exact,
     Scalar,
-    Batched,
 }
 
 impl Mode {
-    const ALL: [Mode; 4] = [Mode::Replay, Mode::Exact, Mode::Scalar, Mode::Batched];
+    const ALL: [Mode; 3] = [Mode::Replay, Mode::Exact, Mode::Scalar];
 
     fn label(self) -> &'static str {
         match self {
             Mode::Replay => "replay",
             Mode::Exact => "exact",
             Mode::Scalar => "scalar",
-            Mode::Batched => "batched",
         }
     }
 
     fn configure(self, runner: CampaignRunner) -> CampaignRunner {
         match self {
             Mode::Replay => runner.with_checkpointing(false),
-            Mode::Exact => runner
-                .with_checkpointing(true)
-                .with_batching(true)
-                .with_analytic_settle(false),
-            Mode::Scalar => runner.with_checkpointing(true).with_batching(false),
-            Mode::Batched => runner.with_checkpointing(true).with_batching(true),
+            Mode::Exact => runner.with_checkpointing(true).with_analytic_settle(false),
+            Mode::Scalar => runner.with_checkpointing(true),
         }
     }
 }
@@ -140,9 +134,7 @@ fn mean_arrest_ms(protocol: &Protocol) -> f64 {
 struct Speedup {
     workers: usize,
     scalar_over_replay: f64,
-    batched_over_replay: f64,
-    batched_over_scalar: f64,
-    batched_over_exact: f64,
+    scalar_over_exact: f64,
 }
 
 /// Runs the grid sweep for one protocol and returns (runs, speedups).
@@ -178,17 +170,11 @@ fn sweep(mut protocol: Protocol, errors: &[fic::E1Error]) -> (Vec<TimedRun>, Vec
         let speedup = Speedup {
             workers,
             scalar_over_replay: rate(Mode::Scalar) / rate(Mode::Replay),
-            batched_over_replay: rate(Mode::Batched) / rate(Mode::Replay),
-            batched_over_scalar: rate(Mode::Batched) / rate(Mode::Scalar),
-            batched_over_exact: rate(Mode::Batched) / rate(Mode::Exact),
+            scalar_over_exact: rate(Mode::Scalar) / rate(Mode::Exact),
         };
         eprintln!(
-            "    speedups: scalar {:.2}x, batched {:.2}x over replay \
-             (batched/scalar {:.2}x, batched/exact {:.2}x)",
-            speedup.scalar_over_replay,
-            speedup.batched_over_replay,
-            speedup.batched_over_scalar,
-            speedup.batched_over_exact
+            "    speedups: scalar {:.2}x over replay, {:.2}x over exact",
+            speedup.scalar_over_replay, speedup.scalar_over_exact
         );
         speedups.push(speedup);
     }
@@ -302,9 +288,7 @@ fn write_json(path: &std::path::Path, protocol: &Protocol, errors: usize, full_g
                             format!("workers_{}", s.workers),
                             obj(vec![
                                 ("scalar_over_replay", Value::Float(s.scalar_over_replay)),
-                                ("batched_over_replay", Value::Float(s.batched_over_replay)),
-                                ("batched_over_scalar", Value::Float(s.batched_over_scalar)),
-                                ("batched_over_exact", Value::Float(s.batched_over_exact)),
+                                ("scalar_over_exact", Value::Float(s.scalar_over_exact)),
                             ]),
                         )
                     })

@@ -33,8 +33,7 @@ use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap};
 use crate::convergence::{CellKey, ConvergenceAggregate};
 use crate::error_set::{E1Error, E2Error};
 use crate::experiment::{
-    fault_free_prefix, run_case_batch_with, run_trial, run_trial_checkpointed_observed_with, Trial,
-    TrialExecution,
+    fault_free_prefix, run_trial, run_trial_checkpointed_observed_with, Trial, TrialExecution,
 };
 use crate::journal::{CampaignKind, Journal, JournalError, JournalWriter, ShardSpec};
 use crate::protocol::Protocol;
@@ -357,20 +356,11 @@ pub struct ProgressOptions {
     pub stream_every: u64,
 }
 
-/// Default lane cap per lockstep batch. Eight lanes keep the working
-/// set of live [`arrestor::System`] clones inside the fast caches on
-/// one core while still amortising the shared-environment tick;
-/// whole-case batches (112 lanes under E1) measurably lose the
-/// locality they gain in sharing (see PERFORMANCE.md for the sweep).
-pub const DEFAULT_BATCH_SIZE: usize = 8;
-
 /// Executes error-injection campaigns under a protocol.
 #[derive(Debug, Clone)]
 pub struct CampaignRunner {
     protocol: Protocol,
     checkpointing: bool,
-    batching: bool,
-    batch_size: usize,
     analytic_settle: bool,
     pruning: bool,
     telemetry: Option<Arc<telemetry::Registry>>,
@@ -382,22 +372,18 @@ pub struct CampaignRunner {
 }
 
 impl CampaignRunner {
-    /// A runner for the given protocol. Checkpointed **batched**
-    /// execution is on by default: all trials of a test case fork from
-    /// the cached prefix and step in lockstep
-    /// ([`crate::experiment::run_case_batch`]). Disable batching with
-    /// [`CampaignRunner::with_batching`]`(false)` to run the scalar
-    /// one-trial-at-a-time checkpointed path, or disable checkpointing
-    /// with [`CampaignRunner::with_checkpointing`]`(false)` to force
-    /// full from-t=0 replay of every trial. Results are bit-identical
-    /// across all three paths. Telemetry, progress and sharding are
-    /// all off by default.
+    /// A runner for the given protocol. Checkpointed execution is on
+    /// by default: every trial of a test case forks from the cached
+    /// prefix and runs to its settle proof
+    /// ([`crate::experiment::run_trial_checkpointed_observed_with`]).
+    /// Disable it with [`CampaignRunner::with_checkpointing`]`(false)`
+    /// to force full from-t=0 replay of every trial, the differential
+    /// oracle; results are bit-identical across both paths. Telemetry,
+    /// progress and sharding are all off by default.
     pub fn new(protocol: Protocol) -> Self {
         CampaignRunner {
             protocol,
             checkpointing: true,
-            batching: true,
-            batch_size: DEFAULT_BATCH_SIZE,
             analytic_settle: true,
             pruning: true,
             telemetry: None,
@@ -508,44 +494,6 @@ impl CampaignRunner {
     /// Whether trials fork from cached fault-free prefixes.
     pub const fn checkpointing(&self) -> bool {
         self.checkpointing
-    }
-
-    /// Enables or disables lockstep batching of checkpointed trials
-    /// (on by default). With batching off, checkpointed trials run the
-    /// scalar one-at-a-time path — the `--scalar` escape hatch.
-    /// Results are bit-identical either way (pinned by
-    /// `tests/batch_equivalence.rs`). A no-op under
-    /// [`CampaignRunner::with_checkpointing`]`(false)`, which always
-    /// runs scalar replay.
-    #[must_use]
-    pub fn with_batching(mut self, enabled: bool) -> Self {
-        self.batching = enabled;
-        self
-    }
-
-    /// Whether checkpointed trials run in lockstep batches.
-    pub const fn batching(&self) -> bool {
-        self.batching
-    }
-
-    /// Caps the number of lanes per lockstep batch (`--batch-size`).
-    /// `0` runs every trial of a test case in one batch; smaller caps
-    /// split a case into consecutive chunks, trading shared-environment
-    /// savings for smaller working sets. The default is
-    /// [`DEFAULT_BATCH_SIZE`]: on one core, whole-case batches walk
-    /// more live `System` state per tick than fits the fast caches and
-    /// lose to the scalar path (see PERFORMANCE.md). Split points
-    /// cannot change any result — lanes never interact (pinned by
-    /// `crates/arrestor/tests/prop_batch.rs`).
-    #[must_use]
-    pub fn with_batch_size(mut self, lanes: usize) -> Self {
-        self.batch_size = lanes;
-        self
-    }
-
-    /// The lane cap per lockstep batch (`0` = whole case).
-    pub const fn batch_size(&self) -> usize {
-        self.batch_size
     }
 
     /// Attaches a metrics registry: campaign/cache/settle metrics are
@@ -987,29 +935,9 @@ impl CampaignRunner {
             None => None,
         };
 
-        let batched = self.checkpointing && self.batching;
-        let (work_tx, work_rx) = channel::unbounded::<WorkItem>();
-        if batched {
-            // One lockstep chunk per (case, batch-size slice): trials
-            // of a case step together, in error order within the
-            // chunk, so a 1-worker batched run completes trials in
-            // exactly the scalar (ci, ei) order.
-            for (ci, eis) in group_by_case(&pending) {
-                let cap = if self.batch_size == 0 {
-                    eis.len()
-                } else {
-                    self.batch_size
-                };
-                for chunk in eis.chunks(cap.max(1)) {
-                    work_tx
-                        .send(WorkItem::Case(ci, chunk.to_vec()))
-                        .expect("queue is open");
-                }
-            }
-        } else {
-            for &(ei, ci) in &pending {
-                work_tx.send(WorkItem::Pair(ei, ci)).expect("queue is open");
-            }
+        let (work_tx, work_rx) = channel::unbounded::<(usize, usize)>();
+        for &pair in &pending {
+            work_tx.send(pair).expect("queue is open");
         }
         drop(work_tx);
         let (result_tx, result_rx) = channel::unbounded::<(usize, usize, Trial)>();
@@ -1032,153 +960,64 @@ impl CampaignRunner {
                         .map(|t| t.registry.counter(&format!("campaign.worker.{w}.trials")));
                     loop {
                         let waiting = tel.as_ref().map(|_| Instant::now());
-                        let Ok(item) = work_rx.recv() else { break };
+                        let Ok((ei, ci)) = work_rx.recv() else { break };
                         if let (Some(t), Some(started)) = (&tel, waiting) {
                             let micros =
                                 u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
                             t.queue_wait_us.record(micros);
                         }
-                        match item {
-                            WorkItem::Case(ci, eis) => {
-                                let cache = cache.as_ref().expect("batched work is checkpointed");
-                                // The scalar path resolves the prefix
-                                // once per trial; doing the same per
-                                // lane keeps the cache hit/miss
-                                // counters bit-identical between the
-                                // two paths.
-                                let mut prefix = None;
-                                for _ in &eis {
-                                    prefix = Some(cache.prefix_observed(
-                                        protocol,
-                                        ci,
-                                        cases[ci],
-                                        tel.as_ref(),
-                                    ));
-                                }
-                                let prefix = prefix.expect("chunks are never empty");
-                                // Partition the chunk: statically-inert
-                                // errors skip execution and share the
-                                // case's reference trial; live lanes
-                                // run the lockstep batch. Results are
-                                // emitted in chunk order either way, so
-                                // journal bytes never depend on the
-                                // prune setting.
-                                let classes: Vec<Option<crate::prune::PruneClass>> = eis
-                                    .iter()
-                                    .map(|&ei| {
-                                        prune.as_ref().and_then(|p| p.classify(errors[ei].flip()))
-                                    })
-                                    .collect();
-                                let live: Vec<usize> =
-                                    (0..eis.len()).filter(|&i| classes[i].is_none()).collect();
-                                let flips: Vec<memsim::BitFlip> =
-                                    live.iter().map(|&i| errors[eis[i]].flip()).collect();
-                                let mut trials: Vec<Option<Trial>> = vec![None; eis.len()];
-                                for lane in run_case_batch_with(
-                                    protocol, &flips, cases[ci], &prefix, analytic,
-                                ) {
-                                    if let Some(t) = &tel {
-                                        t.observe_execution(&lane.execution);
-                                    }
-                                    if let Some(pr) = &profile {
-                                        pr.record_execution(&lane.execution);
-                                    }
-                                    trials[live[lane.slot]] = Some(lane.trial);
-                                }
-                                if live.len() < eis.len() {
-                                    let p = prune.as_ref().expect("pruned lanes imply a cache");
+                        let trial = match &cache {
+                            Some(cache) => {
+                                let prefix =
+                                    cache.prefix_observed(protocol, ci, cases[ci], tel.as_ref());
+                                let class =
+                                    prune.as_ref().and_then(|p| p.classify(errors[ei].flip()));
+                                if let Some(class) = class {
+                                    let p = prune.as_ref().expect("just classified");
                                     let (reference, built) =
                                         p.reference(protocol, ci, cases[ci], &prefix, analytic);
-                                    if built {
-                                        if let Some(t) = &tel {
+                                    if let Some(t) = &tel {
+                                        if built {
                                             t.prune_references.inc();
                                         }
+                                        t.observe_prune(class);
                                     }
-                                    for (i, class) in classes.iter().enumerate() {
-                                        if let Some(class) = class {
-                                            if let Some(t) = &tel {
-                                                t.observe_prune(*class);
-                                            }
-                                            if let Some(pr) = &profile {
-                                                pr.record_prune();
-                                            }
-                                            trials[i] = Some((*reference).clone());
-                                        }
+                                    if let Some(pr) = &profile {
+                                        pr.record_prune();
                                     }
-                                }
-                                for (i, trial) in trials.into_iter().enumerate() {
-                                    let trial = trial.expect("every lane resolved");
-                                    if let Some(c) = &worker_trials {
-                                        c.inc();
+                                    (*reference).clone()
+                                } else {
+                                    let (trial, execution) = run_trial_checkpointed_observed_with(
+                                        protocol,
+                                        errors[ei].flip(),
+                                        cases[ci],
+                                        &prefix,
+                                        analytic,
+                                    );
+                                    if let Some(t) = &tel {
+                                        t.observe_execution(&execution);
                                     }
-                                    result_tx
-                                        .send((eis[i], ci, trial))
-                                        .expect("collector outlives workers");
+                                    if let Some(pr) = &profile {
+                                        pr.record_execution(&execution);
+                                    }
+                                    trial
                                 }
                             }
-                            WorkItem::Pair(ei, ci) => {
-                                let trial = match &cache {
-                                    Some(cache) => {
-                                        let prefix = cache.prefix_observed(
-                                            protocol,
-                                            ci,
-                                            cases[ci],
-                                            tel.as_ref(),
-                                        );
-                                        let class = prune
-                                            .as_ref()
-                                            .and_then(|p| p.classify(errors[ei].flip()));
-                                        if let Some(class) = class {
-                                            let p = prune.as_ref().expect("just classified");
-                                            let (reference, built) = p.reference(
-                                                protocol, ci, cases[ci], &prefix, analytic,
-                                            );
-                                            if let Some(t) = &tel {
-                                                if built {
-                                                    t.prune_references.inc();
-                                                }
-                                                t.observe_prune(class);
-                                            }
-                                            if let Some(pr) = &profile {
-                                                pr.record_prune();
-                                            }
-                                            (*reference).clone()
-                                        } else {
-                                            let (trial, execution) =
-                                                run_trial_checkpointed_observed_with(
-                                                    protocol,
-                                                    errors[ei].flip(),
-                                                    cases[ci],
-                                                    &prefix,
-                                                    analytic,
-                                                );
-                                            if let Some(t) = &tel {
-                                                t.observe_execution(&execution);
-                                            }
-                                            if let Some(pr) = &profile {
-                                                pr.record_execution(&execution);
-                                            }
-                                            trial
-                                        }
-                                    }
-                                    None => {
-                                        let trial =
-                                            run_trial(protocol, errors[ei].flip(), cases[ci]);
-                                        if let Some(t) = &tel {
-                                            t.trials_full_window.inc();
-                                            t.window_ms_simulated.add(protocol.observation_ms);
-                                        }
-                                        trial
-                                    }
-                                };
-                                if let Some(c) = &worker_trials {
-                                    c.inc();
+                            None => {
+                                let trial = run_trial(protocol, errors[ei].flip(), cases[ci]);
+                                if let Some(t) = &tel {
+                                    t.trials_full_window.inc();
+                                    t.window_ms_simulated.add(protocol.observation_ms);
                                 }
-                                result_tx
-                                    .send((ei, ci, trial))
-                                    .expect("collector outlives workers");
+                                trial
                             }
+                        };
+                        if let Some(c) = &worker_trials {
+                            c.inc();
                         }
+                        result_tx
+                            .send((ei, ci, trial))
+                            .expect("collector outlives workers");
                     }
                 });
             }
@@ -1235,28 +1074,6 @@ impl CampaignRunner {
             None => Ok(()),
         }
     }
-}
-
-/// One unit of worker work: a single ⟨error, case⟩ trial (the scalar
-/// and replay paths) or one lockstep chunk of a test case's trials
-/// (error indices, in order).
-#[derive(Debug)]
-enum WorkItem {
-    Pair(usize, usize),
-    Case(usize, Vec<usize>),
-}
-
-/// Groups a (case, error)-sorted pending list into per-case runs,
-/// preserving error order within each case.
-fn group_by_case(pending: &[(usize, usize)]) -> Vec<(usize, Vec<usize>)> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for &(ei, ci) in pending {
-        match groups.last_mut() {
-            Some((c, eis)) if *c == ci => eis.push(ei),
-            _ => groups.push((ci, vec![ei])),
-        }
-    }
-    groups
 }
 
 /// Internal: both error kinds expose their flip coordinates and their
@@ -1358,31 +1175,6 @@ mod tests {
         let fast = runner.run_e1(subset);
         let slow = runner.clone().with_checkpointing(false).run_e1(subset);
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn batched_run_equals_scalar_run() {
-        let protocol = Protocol::scaled(2, 1_500);
-        let runner = CampaignRunner::new(protocol);
-        assert!(runner.batching());
-        let errors = error_set::e1();
-        let subset = &errors[78..84]; // spans the SetValue/mscnt boundary
-        let batched = runner.run_e1(subset);
-        let scalar = runner.clone().with_batching(false).run_e1(subset);
-        assert_eq!(batched, scalar);
-    }
-
-    #[test]
-    fn batch_size_split_points_do_not_change_results() {
-        let protocol = Protocol::scaled(2, 1_500);
-        let runner = CampaignRunner::new(protocol);
-        let errors = error_set::e2();
-        let subset = &errors[..5];
-        let whole_case = runner.clone().with_batch_size(0).run_e2(subset);
-        for lanes in [1, 2, 3, DEFAULT_BATCH_SIZE] {
-            let chunked = runner.clone().with_batch_size(lanes).run_e2(subset);
-            assert_eq!(chunked, whole_case, "batch size {lanes}");
-        }
     }
 
     #[test]

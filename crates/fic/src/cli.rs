@@ -29,13 +29,6 @@
 //!   forking and steady-state fast-forward) and replay every trial from
 //!   t = 0. Results are bit-identical either way; this is the slow
 //!   cross-check and benchmark baseline;
-//! * `--scalar` — run checkpointed trials one at a time instead of in
-//!   lockstep batches (the pre-batching execution path). Results are
-//!   bit-identical either way; this is the differential cross-check
-//!   the batch-equivalence suite runs against;
-//! * `--batch-size <n>` — cap the number of lanes per lockstep batch
-//!   (default [`crate::campaign::DEFAULT_BATCH_SIZE`]; `0` = all trials of a
-//!   test case in one batch). Split points cannot change any result;
 //! * `--no-analytic-settle` — restrict settle proofs to exact state
 //!   recurrence, disabling the analytic absorbing-band relaxation
 //!   (`arrestor::settle`). Results are bit-identical either way; trials
@@ -116,11 +109,6 @@ pub struct CliOptions {
     /// Replay every trial from t = 0 instead of forking cached
     /// fault-free prefixes.
     pub no_checkpoint: bool,
-    /// Run checkpointed trials one at a time instead of in lockstep
-    /// batches.
-    pub scalar: bool,
-    /// Lane cap per lockstep batch (`None` = whole case per batch).
-    pub batch_size: Option<usize>,
     /// Restrict settle proofs to exact recurrence (no analytic
     /// absorbing band).
     pub no_analytic_settle: bool,
@@ -167,8 +155,6 @@ impl Default for CliOptions {
             trace: false,
             repro_dir: PathBuf::from("results/repro"),
             no_checkpoint: false,
-            scalar: false,
-            batch_size: None,
             no_analytic_settle: false,
             no_prune: false,
             shard: None,
@@ -195,9 +181,8 @@ impl CliOptions {
                     "usage: [--scale n] [--observation ms] [--workers n] [--out dir] \
                      [--load file] [--journal file] [--resume] [--from-journal file] \
                      [--check-golden] [--refresh-golden] [--golden-dir dir] \
-                     [--trace] [--repro-dir dir] [--no-checkpoint] [--scalar] \
-                     [--batch-size n] [--no-analytic-settle] [--no-prune] \
-                     [--shard k/n] \
+                     [--trace] [--repro-dir dir] [--no-checkpoint] \
+                     [--no-analytic-settle] [--no-prune] [--shard k/n] \
                      [--telemetry-jsonl file] [--no-telemetry] \
                      [--attribution] [--no-attribution] \
                      [--profile] [--metrics-file path] \
@@ -258,14 +243,6 @@ impl CliOptions {
                 "--trace" => options.trace = true,
                 "--repro-dir" => options.repro_dir = PathBuf::from(value("--repro-dir")?),
                 "--no-checkpoint" => options.no_checkpoint = true,
-                "--scalar" => options.scalar = true,
-                "--batch-size" => {
-                    options.batch_size = Some(
-                        value("--batch-size")?
-                            .parse()
-                            .map_err(|e| format!("--batch-size: {e}"))?,
-                    );
-                }
                 "--no-analytic-settle" => options.no_analytic_settle = true,
                 "--no-prune" => options.no_prune = true,
                 "--shard" => options.shard = Some(parse_shard(&value("--shard")?)?),
@@ -335,7 +312,6 @@ impl CliOptions {
     pub fn runner(&self, registry: Option<&Arc<telemetry::Registry>>) -> CampaignRunner {
         let mut runner = CampaignRunner::new(self.protocol())
             .with_checkpointing(!self.no_checkpoint)
-            .with_batching(!self.scalar)
             .with_analytic_settle(!self.no_analytic_settle)
             .with_pruning(!self.no_prune)
             .with_attribution(self.attribution);
@@ -353,9 +329,6 @@ impl CliOptions {
                 }
             }
             runner = runner.with_convergence(Arc::new(sink));
-        }
-        if let Some(lanes) = self.batch_size {
-            runner = runner.with_batch_size(lanes);
         }
         if let Some((index, count)) = self.shard {
             runner = runner.with_shard(index, count);
@@ -530,26 +503,6 @@ mod tests {
     fn parses_no_checkpoint() {
         let options = CliOptions::parse(&args(&["--no-checkpoint"])).unwrap();
         assert!(options.no_checkpoint);
-    }
-
-    #[test]
-    fn parses_scalar_and_batch_size() {
-        let options = CliOptions::parse(&[]).unwrap();
-        assert!(!options.scalar);
-        assert_eq!(options.batch_size, None);
-        let runner = options.runner(None);
-        assert!(runner.batching());
-        assert_eq!(runner.batch_size(), crate::campaign::DEFAULT_BATCH_SIZE);
-
-        let options = CliOptions::parse(&args(&["--scalar", "--batch-size", "16"])).unwrap();
-        assert!(options.scalar);
-        assert_eq!(options.batch_size, Some(16));
-        let runner = options.runner(None);
-        assert!(!runner.batching());
-        assert_eq!(runner.batch_size(), 16);
-
-        assert!(CliOptions::parse(&args(&["--batch-size"])).is_err());
-        assert!(CliOptions::parse(&args(&["--batch-size", "many"])).is_err());
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub struct TrialExecution {
     /// Assertion checks each mechanism EA1..EA7 executed over the
     /// trial's whole timeline (the forked fault-free prefix included —
     /// the target system runs its assertions there too). Input to the
-    /// per-assertion cost profile; identical batched vs scalar.
+    /// per-assertion cost profile.
     pub ea_checks: [u64; 7],
 }
 
@@ -196,78 +196,6 @@ pub fn run_trial_checkpointed_observed_with(
         ea_checks: system.master().detectors().check_counts(),
     };
     (finish_trial(system, period).0, execution)
-}
-
-/// One lane's outcome from [`run_case_batch`]: the slot ties it back
-/// to the flip slice (and hence the campaign's error index).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchTrial {
-    /// Index of this trial's flip in the slice given to
-    /// [`run_case_batch`].
-    pub slot: usize,
-    /// The trial outcome — bit-identical to the scalar
-    /// [`run_trial_checkpointed_observed`] result for the same flip.
-    pub trial: Trial,
-    /// The execution shape, for telemetry.
-    pub execution: TrialExecution,
-}
-
-/// Runs every flip in `flips` against the same test case as one
-/// lockstep batch ([`arrestor::batch`]): all lanes fork from `prefix`
-/// once and step together, sharing the fault-free reference
-/// environment until their command histories diverge.
-///
-/// Each returned [`Trial`] and [`TrialExecution`] is bit-identical to
-/// what [`run_trial_checkpointed_observed`] produces for the same
-/// flip — the batch changes the execution schedule, never the
-/// results. Pinned by `tests/batch_equivalence.rs` and the lane
-/// invariance properties in `crates/arrestor/tests/prop_batch.rs`.
-pub fn run_case_batch(
-    protocol: &Protocol,
-    flips: &[BitFlip],
-    case: TestCase,
-    prefix: &arrestor::Snapshot,
-) -> Vec<BatchTrial> {
-    run_case_batch_with(protocol, flips, case, prefix, false)
-}
-
-/// [`run_case_batch`] with the analytic settle relaxation switched on
-/// or off — the batched counterpart of
-/// [`run_trial_checkpointed_observed_with`], with the same contract:
-/// identical [`Trial`]s, different execution shape.
-pub fn run_case_batch_with(
-    protocol: &Protocol,
-    flips: &[BitFlip],
-    case: TestCase,
-    prefix: &arrestor::Snapshot,
-    analytic_settle: bool,
-) -> Vec<BatchTrial> {
-    debug_assert_eq!(prefix.case(), case, "prefix belongs to another case");
-    let period = protocol.injection_period_ms.max(1);
-    let config = arrestor::BatchConfig {
-        observation_ms: protocol.observation_ms,
-        injection_period_ms: protocol.injection_period_ms,
-        analytic_settle,
-    };
-    arrestor::batch::run_lockstep(prefix, flips, &config)
-        .into_iter()
-        .map(|lane| {
-            let execution = TrialExecution {
-                settle_stop_ms: lane.settle_stop_ms,
-                settle_proof: lane.settle_proof,
-                settle_captures: lane.settle_captures,
-                simulated_ms: lane.stopped_at_ms - lane.resumed_at_ms,
-                skipped_ms: lane.resumed_at_ms
-                    + protocol.observation_ms.saturating_sub(lane.stopped_at_ms),
-                ea_checks: lane.system.master().detectors().check_counts(),
-            };
-            BatchTrial {
-                slot: lane.slot,
-                trial: finish_trial(lane.system, period).0,
-                execution,
-            }
-        })
-        .collect()
 }
 
 /// The reference trial an **inert** error shares: the fault-free
@@ -511,28 +439,6 @@ mod tests {
         );
         assert!(!trial.detected(EaSet::ALL));
         assert!(!trial.failed);
-    }
-
-    #[test]
-    fn case_batch_matches_scalar_checkpointed_trials() {
-        let protocol = Protocol::scaled(2, 2_000);
-        let case = TestCase::new(12_000.0, 55.0);
-        let prefix = fault_free_prefix(&protocol, case);
-        let flips = [
-            BitFlip::new(Region::AppRam, signal_addr("SetValue") + 1, 7),
-            BitFlip::new(Region::AppRam, signal_addr("OutValue"), 1),
-            BitFlip::new(Region::AppRam, signal_addr("mscnt") + 1, 7),
-            BitFlip::new(Region::Stack, 10, 3),
-        ];
-        let batched = run_case_batch(&protocol, &flips, case, &prefix);
-        assert_eq!(batched.len(), flips.len());
-        for (slot, &flip) in flips.iter().enumerate() {
-            let (trial, execution) =
-                run_trial_checkpointed_observed(&protocol, flip, case, &prefix);
-            assert_eq!(batched[slot].slot, slot);
-            assert_eq!(batched[slot].trial, trial, "flip {flip:?}");
-            assert_eq!(batched[slot].execution, execution, "flip {flip:?}");
-        }
     }
 
     #[test]

@@ -283,8 +283,8 @@ fn send(writer: &Arc<Mutex<TcpStream>>, command: &Command) -> Result<(), FleetEr
 }
 
 /// Runs every trial of one slice through a fresh [`CampaignRunner`]
-/// (own telemetry registry, checkpointing + batching on as in the
-/// single-process reference) while a side thread heartbeats the lease.
+/// (own telemetry registry, checkpointing on as in the single-process
+/// reference) while a side thread heartbeats the lease.
 /// Returns the records in lease order plus the slice's telemetry.
 fn execute_slice(
     slice: &SliceLease,

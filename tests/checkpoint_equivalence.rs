@@ -9,8 +9,9 @@
 //!   detector (mscnt errors shift the clock, stack errors corrupt CALC
 //!   locals or hang the node, signal errors perturb the plant);
 //! * per-campaign: checkpointed and replay campaigns render Tables 6–9
-//!   byte-identically, and both match the committed fixtures in
-//!   `tests/fixtures/` — the same files the snapshot suite pins;
+//!   byte-identically, journal the same record lines, and both match
+//!   the committed fixtures in `tests/fixtures/` — the same files the
+//!   snapshot suite pins;
 //! * per-tick: a trace recorded across a snapshot/resume boundary shows
 //!   zero divergence against a straight recorded run under the
 //!   differential oracle of `fic::trace`.
@@ -18,6 +19,7 @@
 use std::path::PathBuf;
 
 use ea_repro::arrestor::{RunConfig, System};
+use ea_repro::fic::journal::JournalWriter;
 use ea_repro::fic::{
     error_set, fault_free_prefix, fault_free_prefix_recorded, run_trial, run_trial_checkpointed,
     run_trial_checkpointed_recorded, run_trial_recorded, tables, trace, CampaignRunner, Protocol,
@@ -30,6 +32,23 @@ fn fixture(name: &str) -> String {
         .join(name);
     std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()))
+}
+
+fn temp_journal(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "ea-repro-checkpoint-test-{}-{name}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("campaign.jsonl")
+}
+
+fn journal_lines(path: &PathBuf) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .map(str::to_owned)
+        .collect()
 }
 
 /// The snapshot campaign of `tests/table_snapshots.rs`.
@@ -167,12 +186,49 @@ fn checkpointed_tables_match_replay_and_committed_fixtures() {
     let fast = CampaignRunner::new(protocol.clone());
     let slow = fast.clone().with_checkpointing(false);
 
-    let e1_fast = fast.run_e1(&e1_errors);
-    let e1_slow = slow.run_e1(&e1_errors);
+    // Both runs journal at one worker. Replay does not group pending
+    // trials by case, so the append order differs between the paths;
+    // the record lines themselves must not.
+    let fast_path = temp_journal("fast");
+    let slow_path = temp_journal("slow");
+    let mut fast_journal = JournalWriter::create(&fast_path, &protocol).unwrap();
+    let mut slow_journal = JournalWriter::create(&slow_path, &protocol).unwrap();
+
+    let e1_fast = fast
+        .run_e1_journaled(&e1_errors, &mut fast_journal)
+        .unwrap();
+    let e1_slow = slow
+        .run_e1_journaled(&e1_errors, &mut slow_journal)
+        .unwrap();
     assert_eq!(e1_fast, e1_slow, "E1 reports diverged");
-    let e2_fast = fast.run_e2(&e2_errors);
-    let e2_slow = slow.run_e2(&e2_errors);
+    let e2_fast = fast
+        .run_e2_journaled(&e2_errors, &mut fast_journal)
+        .unwrap();
+    let e2_slow = slow
+        .run_e2_journaled(&e2_errors, &mut slow_journal)
+        .unwrap();
     assert_eq!(e2_fast, e2_slow, "E2 reports diverged");
+
+    fast_journal.finish().unwrap();
+    slow_journal.finish().unwrap();
+    let fast_lines = journal_lines(&fast_path);
+    let slow_lines = journal_lines(&slow_path);
+    assert_eq!(fast_lines[0], slow_lines[0], "journal headers diverged");
+    let sorted = |lines: &[String]| {
+        let mut records = lines[1..].to_vec();
+        records.sort_unstable();
+        records
+    };
+    assert_eq!(
+        sorted(&fast_lines),
+        sorted(&slow_lines),
+        "checkpointed journal records diverged from replay"
+    );
+    assert_eq!(
+        fast_lines.len() - 1,
+        (e1_errors.len() + e2_errors.len()) * protocol.cases_per_error(),
+        "one journal record per trial"
+    );
 
     for (name, rendered) in [
         (

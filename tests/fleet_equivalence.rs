@@ -16,8 +16,7 @@
 //!   re-derived from the fleet journal);
 //! * the journal replay (reports re-folded from disk);
 //! * every result-derived telemetry counter and the deterministic
-//!   histograms (wall-clock metrics excluded, as in
-//!   `tests/batch_equivalence.rs`).
+//!   histograms (wall-clock metrics excluded).
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -143,18 +143,15 @@ fn truncate_after_records(path: &PathBuf, keep: usize, tail: &str) {
 }
 
 #[test]
-fn batched_resume_after_mid_case_kill_is_byte_identical() {
-    // The PR 6 lockstep executor runs whole-case lane chunks; a resume
-    // after a kill *inside* a case hands it a partial chunk (some
-    // trials of the case already journaled). The batched resumed run
-    // must still be byte-identical to the uninterrupted batched run —
+fn resume_after_mid_case_kill_is_byte_identical() {
+    // A kill *inside* a test case leaves some of the case's trials
+    // journaled and the rest pending. The resumed run on the default
+    // runner must still be byte-identical to the uninterrupted run —
     // reports, journal bytes (1 worker), and replay.
-    let path = temp_journal("batched-mid-case");
+    let path = temp_journal("mid-case");
     let mut protocol = small_protocol();
     protocol.workers = 1; // deterministic journal append order
-    let runner = CampaignRunner::new(protocol.clone())
-        .with_batching(true)
-        .with_batch_size(2); // --batch-size > 1: two lanes per chunk
+    let runner = CampaignRunner::new(protocol.clone());
     let errors = error_set::e1();
     let subset = &errors[30..34]; // 4 errors × 4 cases = 16 trials
 
@@ -173,37 +170,38 @@ fn batched_resume_after_mid_case_kill_is_byte_identical() {
     assert_eq!(
         serde_json::to_string_pretty(&uninterrupted).unwrap(),
         serde_json::to_string_pretty(&resumed).unwrap(),
-        "batched resumed E1 report must be byte-identical"
+        "resumed E1 report must be byte-identical"
     );
 
-    // At one worker the batched executor completes trials in scalar
-    // (case, error) order, and the resume's pending pairs are the
-    // exact sorted remainder — so even the journal file is restored
-    // byte for byte.
+    // At one worker trials complete in (case, error) order, and the
+    // resume's pending pairs are the exact sorted remainder — so even
+    // the journal file is restored byte for byte.
     assert_eq!(std::fs::read(&path).unwrap(), uninterrupted_bytes);
     let journal = Journal::load(&path).unwrap();
     assert!(!journal.truncated_tail);
     let (replay_e1, _) = journal.replay().unwrap();
     assert_eq!(replay_e1, uninterrupted);
 
-    // Same drill on E2 with an odd batch split (batch-size 3 over 4
-    // errors → chunks of 3 + 1).
-    let e2_path = temp_journal("batched-mid-case-e2");
-    let e2_runner = CampaignRunner::new(protocol.clone())
-        .with_batching(true)
-        .with_batch_size(3);
+    // Same drill on E2, killed at a different point inside case 1.
+    let e2_path = temp_journal("mid-case-e2");
     let e2_subset = &error_set::e2()[..4];
-    let e2_uninterrupted = e2_runner.run_e2(e2_subset);
+    let e2_uninterrupted = runner.run_e2(e2_subset);
     let mut writer = JournalWriter::create(&e2_path, &protocol).unwrap();
-    e2_runner.run_e2_journaled(e2_subset, &mut writer).unwrap();
+    runner.run_e2_journaled(e2_subset, &mut writer).unwrap();
     drop(writer);
+    let e2_uninterrupted_bytes = std::fs::read(&e2_path).unwrap();
     truncate_after_records(&e2_path, 5, "");
-    let e2_resumed = e2_runner.resume_e2(e2_subset, &e2_path).unwrap();
+    let e2_resumed = runner.resume_e2(e2_subset, &e2_path).unwrap();
     assert_eq!(
         serde_json::to_string_pretty(&e2_uninterrupted).unwrap(),
         serde_json::to_string_pretty(&e2_resumed).unwrap(),
-        "batched resumed E2 report must be byte-identical"
+        "resumed E2 report must be byte-identical"
     );
+    assert_eq!(std::fs::read(&e2_path).unwrap(), e2_uninterrupted_bytes);
+    let e2_journal = Journal::load(&e2_path).unwrap();
+    assert!(!e2_journal.truncated_tail);
+    let (_, replay_e2) = e2_journal.replay().unwrap();
+    assert_eq!(replay_e2, e2_uninterrupted);
 }
 
 #[test]
